@@ -31,7 +31,7 @@
 //!   within one Newton iteration of expiry.
 //! * **Bounded memory** — JSON nesting depth, request head/body sizes,
 //!   queue depths, and the number of retained finished-job results
-//!   (`retain_done`, evicting oldest-completed) are all capped.
+//!   (`cache_entries`, evicting oldest-completed) are all capped.
 //! * **Graceful shutdown** — SIGINT, `POST /v1/shutdown`, or a
 //!   [`ServerHandle`] stop the accept loop, serve already-accepted
 //!   connections, let every admitted job finish, and flush a final
@@ -74,7 +74,7 @@ pub use ring::HashRing;
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownReport};
 pub use service::{
     build_job, cache_stats_json, BuiltJob, JobBuilder, JobService, ServiceGauges, SubmitError,
-    TraceLookup, DEFAULT_CACHE_ENTRIES, DEFAULT_RETAIN_DONE, LIST_LIMIT_DEFAULT, LIST_LIMIT_MAX,
+    TraceLookup, DEFAULT_CACHE_ENTRIES, LIST_LIMIT_DEFAULT, LIST_LIMIT_MAX,
 };
 pub use wire::{
     batch_report_json, cache_member_json, job_row_json, json_escape, outcome_json,

@@ -238,10 +238,6 @@ pub struct ServiceGauges {
 /// rows (the two retention knobs PR 10 consolidated — see DESIGN.md §13).
 pub const DEFAULT_CACHE_ENTRIES: usize = 256;
 
-/// Deprecated alias of [`DEFAULT_CACHE_ENTRIES`], kept so pre-cache
-/// callers (and the `--retain-done` CLI alias) keep compiling.
-pub const DEFAULT_RETAIN_DONE: usize = DEFAULT_CACHE_ENTRIES;
-
 /// `GET /v1/jobs` page size when the request has no `limit`.
 pub const LIST_LIMIT_DEFAULT: usize = 50;
 
@@ -830,7 +826,7 @@ mod tests {
     }
 
     fn service(depth: usize) -> JobService {
-        JobService::new(Arc::new(DividerBuilder), depth, DEFAULT_RETAIN_DONE)
+        JobService::new(Arc::new(DividerBuilder), depth, DEFAULT_CACHE_ENTRIES)
     }
 
     fn manifest(n: usize) -> BatchManifest {

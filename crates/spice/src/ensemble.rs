@@ -27,7 +27,7 @@ use std::sync::Arc;
 use crate::analysis::{ConvergenceReport, OpOptions, OpResult, OpStrategy};
 use crate::linalg::{EnsembleLu, Symbolic};
 use crate::netlist::Netlist;
-use crate::stamp::{CapMode, EnsembleSystem, StampContext};
+use crate::stamp::{damped_update, CapMode, EnsembleSystem, Lane, StampContext};
 use crate::{Simulator, SpiceError};
 
 /// Homotopy gmin floor — identical to the scalar ladder's.
@@ -519,25 +519,9 @@ impl OpEnsemble {
                     );
                     continue;
                 }
-                // Voltage-step damping and the step-norm convergence test,
-                // both identical to the scalar Newton kernel.
-                let mut max_dv = 0.0f64;
-                for i in 0..nv {
-                    max_dv = max_dv.max((b[i * k + lane] - x[i * k + lane]).abs());
-                }
-                let damp = if max_dv > 2.0 { 2.0 / max_dv } else { 1.0 };
-                let mut converged = true;
-                let mut max_step = 0.0f64;
-                for i in 0..n {
-                    let idx = i * k + lane;
-                    let step = (b[idx] - x[idx]) * damp;
-                    if step.abs() > 1e-9 + 1e-6 * x[idx].abs() {
-                        converged = false;
-                    }
-                    max_step = max_step.max(step.abs());
-                    x[idx] += step;
-                }
-                if converged && damp == 1.0 {
+                // The scalar Newton kernel's damping and convergence test.
+                let at = Lane { lanes: k, lane };
+                if let Some(max_step) = damped_update(&mut x, &b, n, nv, at) {
                     // This solve succeeded; advance the lane's ladder.
                     lane_solves[lane] += 1;
                     lane_iters[lane] += iters_in_solve[lane] as u64;

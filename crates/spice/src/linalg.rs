@@ -83,6 +83,11 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
+    /// The row-major entries: `(row, col)` lives at `row * n + col`.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Solves `A·x = b` by LU with partial pivoting. The factorization is
     /// performed in place, destroying the matrix *contents* but keeping the
     /// allocation so callers can [`clear`](Matrix::clear) and restamp.

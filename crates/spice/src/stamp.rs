@@ -1,21 +1,42 @@
 //! MNA device stamping and the shared Newton kernel.
 //!
-//! Two stamping paths exist:
+//! Every path that writes an MNA system — the dense Newton oracle, the
+//! sparse hot path ([`SparseSystem`]), the lockstep ensemble
+//! ([`EnsembleSystem`]) and the conductance part of the AC system — goes
+//! through one pipeline:
 //!
-//! * the dense reference path ([`stamp_all`] into a [`Matrix`]), kept as
-//!   the oracle for small systems and for the `solver_compare` tests, and
-//! * the sparse hot path ([`SparseSystem`]), where every device resolves
-//!   its matrix slots once at build time and each Newton iteration rewrites
-//!   values in place — no allocation, no hashing, no binary search.
+//! 1. **Footprint → plan.** [`Plan::new`] lists, once per device type, the
+//!    `(row, col)` entries and rhs rows its stamps touch, resolving each
+//!    entry to a slot of one value layout: row-major flat indices into a
+//!    dense [`Matrix`] ([`Plan::dense`]) or value indices of the fixed
+//!    sparse pattern ([`Plan::sparse`]). The sparse pattern itself
+//!    ([`mna_pattern`]) is the set of entries the footprint lists.
+//! 2. **One applier.** [`Plan::apply`] writes the stamps of one lane of a
+//!    lane-minor value array (a scalar system is the one-lane case), in
+//!    device order; a [`Pass`] selects the linear stamps, the MOSFET
+//!    stamps, or both interleaved.
+//! 3. **One MOSFET linearization.** [`linearize_mos`] orients the channel
+//!    by `vd ≥ vs`, evaluates the level-1 or level-3 model and the
+//!    companion current, for the applier and (through it) for AC alike.
 //!
-//! [`SolverWorkspace`] picks between them from the netlist's
+//! Floating-point sums depend on their order and every path's results are
+//! pinned bit for bit, so each path fixes the order in which a matrix slot
+//! or rhs row receives its additions. The dense path restamps everything
+//! each iteration in one [`Pass::All`], interleaving linear and MOSFET
+//! stamps in device order with the gmin diagonal last. The sparse and
+//! ensemble paths stamp the bias-independent baseline (linear devices,
+//! sources, gmin diagonal) once per Newton solve and add only the MOSFET
+//! stamps on top each iteration.
+//!
+//! [`SolverWorkspace`] picks between dense and sparse from the netlist's
 //! [`SolverKind`](crate::netlist::SolverKind) and size.
 
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
-use crate::linalg::{Matrix, SparseLu, SparseMatrix, Symbolic};
-use crate::netlist::{Element, MosParams, Netlist, SolverKind};
+use crate::complex::{CMatrix, Complex};
+use crate::linalg::{Matrix, SparseLu, SparseMatrix, SparseMatrixEnsemble, Symbolic};
+use crate::netlist::{Device, Element, MosParams, Netlist, NodeId, SolverKind};
 use crate::SpiceError;
 
 /// How capacitors are handled.
@@ -46,7 +67,7 @@ pub(crate) struct StampContext<'a> {
 }
 
 /// Index of a node voltage inside the unknown vector (`None` = ground).
-fn vidx(node: crate::netlist::NodeId) -> Option<usize> {
+fn vidx(node: NodeId) -> Option<usize> {
     if node.index() == 0 {
         None
     } else {
@@ -54,32 +75,10 @@ fn vidx(node: crate::netlist::NodeId) -> Option<usize> {
     }
 }
 
-fn voltage(x: &[f64], node: crate::netlist::NodeId) -> f64 {
+fn voltage(x: &[f64], node: NodeId) -> f64 {
     match vidx(node) {
         None => 0.0,
         Some(i) => x[i],
-    }
-}
-
-fn add_conductance(a: &mut Matrix, i: Option<usize>, j: Option<usize>, g: f64) {
-    if let Some(i) = i {
-        a.add(i, i, g);
-    }
-    if let Some(j) = j {
-        a.add(j, j, g);
-    }
-    if let (Some(i), Some(j)) = (i, j) {
-        a.add(i, j, -g);
-        a.add(j, i, -g);
-    }
-}
-
-fn add_current(b: &mut [f64], into: Option<usize>, outof: Option<usize>, i: f64) {
-    if let Some(n) = into {
-        b[n] += i;
-    }
-    if let Some(n) = outof {
-        b[n] -= i;
     }
 }
 
@@ -105,136 +104,38 @@ fn level1(params: &MosParams, vgs: f64, vds: f64) -> (f64, f64, f64) {
     }
 }
 
-/// Stamps every device into `(a, b)` around the linearization point `x`.
-pub(crate) fn stamp_all(
-    netlist: &Netlist,
-    x: &[f64],
-    a: &mut Matrix,
-    b: &mut [f64],
-    ctx: &StampContext<'_>,
-) {
-    let nv = netlist.node_count() - 1;
-    let mut cap_index = 0usize;
-    for dev in &netlist.devices {
-        match &dev.element {
-            Element::Resistor { a: na, b: nb, ohms } => {
-                add_conductance(a, vidx(*na), vidx(*nb), 1.0 / ohms);
-            }
-            Element::Capacitor {
-                a: na,
-                b: nb,
-                farads,
-            } => {
-                match ctx.cap_mode {
-                    CapMode::Open => {}
-                    CapMode::Step { dt, trapezoidal } => {
-                        let st = ctx.cap_states[cap_index];
-                        let (g, ieq) = if trapezoidal {
-                            let g = 2.0 * farads / dt;
-                            (g, -(g * st.v + st.i))
-                        } else {
-                            let g = farads / dt;
-                            (g, -g * st.v)
-                        };
-                        // Companion: i = g·v + ieq flowing a → b.
-                        add_conductance(a, vidx(*na), vidx(*nb), g);
-                        add_current(b, vidx(*nb), vidx(*na), ieq);
-                    }
-                }
-                cap_index += 1;
-            }
-            Element::VSource {
-                plus,
-                minus,
-                wave,
-                branch,
-            } => {
-                let row = nv + branch;
-                if let Some(p) = vidx(*plus) {
-                    a.add(p, row, 1.0);
-                    a.add(row, p, 1.0);
-                }
-                if let Some(m) = vidx(*minus) {
-                    a.add(m, row, -1.0);
-                    a.add(row, m, -1.0);
-                }
-                b[row] += wave.at(ctx.t) * ctx.source_scale;
-            }
-            Element::ISource { from, to, wave } => {
-                add_current(b, vidx(*to), vidx(*from), wave.at(ctx.t) * ctx.source_scale);
-            }
-            Element::Nmos { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                // Symmetric pass-switch handling: the lower of d/s acts as
-                // the source.
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x, ns);
-                let (ids, gm, gds) = level1(params, vgs, vds_raw);
-                // Linearized drain current: i = ids + gm·Δvgs + gds·Δvds.
-                let ieq = ids - gm * vgs - gds * vds_raw;
-                let (id_, is_, ig_) = (vidx(nd), vidx(ns), vidx(*g));
-                // gds between nd and ns.
-                add_conductance(a, id_, is_, gds + ctx.gmin);
-                // gm contribution: current into nd proportional to (vg−vns).
-                if let Some(r) = id_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, -gm);
-                    }
-                }
-                if let Some(r) = is_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, -gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, gm);
-                    }
-                }
-                // Constant part flows nd → ns.
-                add_current(b, is_, id_, ieq);
-            }
-            Element::Nmos3 { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x, ns);
-                let (ids, gm, gds) = params.linearize(vgs, vds_raw);
-                let ieq = ids - gm * vgs - gds * vds_raw;
-                let (id_, is_, ig_) = (vidx(nd), vidx(ns), vidx(*g));
-                add_conductance(a, id_, is_, gds + ctx.gmin);
-                if let Some(r) = id_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, -gm);
-                    }
-                }
-                if let Some(r) = is_ {
-                    if let Some(c) = ig_ {
-                        a.add(r, c, -gm);
-                    }
-                    if let Some(c) = is_ {
-                        a.add(r, c, gm);
-                    }
-                }
-                add_current(b, is_, id_, ieq);
-            }
-        }
-    }
-    // Global gmin from every node to ground keeps matrices regular even
-    // for floating subcircuits.
-    for n in 0..nv {
-        a.add(n, n, 1e-12);
+/// A MOSFET linearized around one bias point.
+struct MosLin {
+    /// `vd ≥ vs`: the declared drain conducts as the drain.
+    forward: bool,
+    gm: f64,
+    gds: f64,
+    /// Constant part of the linearized current, flowing drain → source
+    /// of the oriented channel.
+    ieq: f64,
+}
+
+/// The one MOSFET linearization, for `Element::Nmos` (level 1) and
+/// `Element::Nmos3` (level 3) at terminal voltages `vd`, `vg`, `vs`.
+/// Symmetric pass-switch handling: the lower of d/s acts as the source.
+fn linearize_mos(element: &Element, vd: f64, vg: f64, vs: f64) -> MosLin {
+    let forward = vd >= vs;
+    let (vds, vgs) = if forward {
+        (vd - vs, vg - vs)
+    } else {
+        (vs - vd, vg - vd)
+    };
+    let (ids, gm, gds) = match element {
+        Element::Nmos { params, .. } => level1(params, vgs, vds),
+        Element::Nmos3 { params, .. } => params.linearize(vgs, vds),
+        _ => unreachable!("MOS plan on a non-MOS device"),
+    };
+    // Linearized drain current: i = ids + gm·Δvgs + gds·Δvds.
+    MosLin {
+        forward,
+        gm,
+        gds,
+        ieq: ids - gm * vgs - gds * vds,
     }
 }
 
@@ -282,6 +183,31 @@ pub(crate) fn init_cap_states(netlist: &Netlist, x: &[f64]) -> Vec<CapState> {
 /// structs `Copy` and the hot-loop branches cheap.
 const NO_SLOT: usize = usize::MAX;
 
+/// One lane of a lane-minor array: entry `i` of lane `lane` lives at
+/// `i * lanes + lane`. Scalar systems are the single-lane case.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    pub lanes: usize,
+    pub lane: usize,
+}
+
+impl Lane {
+    pub const SCALAR: Lane = Lane { lanes: 1, lane: 0 };
+
+    #[inline]
+    fn at(self, i: usize) -> usize {
+        i * self.lanes + self.lane
+    }
+}
+
+/// Adds `v` to entry `slot` of lane `at`, unless the slot is ground.
+#[inline]
+fn add(values: &mut [f64], at: Lane, slot: usize, v: f64) {
+    if slot != NO_SLOT {
+        values[at.at(slot)] += v;
+    }
+}
+
 /// Resolved slots for a two-terminal conductance stamp between unknowns
 /// `i` and `j` (the classic `+g/+g/-g/-g` quadruple).
 #[derive(Debug, Clone, Copy)]
@@ -293,63 +219,27 @@ struct PairSlots {
 }
 
 impl PairSlots {
-    fn resolve(mat: &SparseMatrix, i: Option<usize>, j: Option<usize>) -> PairSlots {
+    fn resolve(
+        entry: &mut impl FnMut(Option<usize>, Option<usize>) -> usize,
+        i: Option<usize>,
+        j: Option<usize>,
+    ) -> PairSlots {
         PairSlots {
-            ii: entry_slot(mat, i, i),
-            jj: entry_slot(mat, j, j),
-            ij: entry_slot(mat, i, j),
-            ji: entry_slot(mat, j, i),
+            ii: entry(i, i),
+            jj: entry(j, j),
+            ij: entry(i, j),
+            ji: entry(j, i),
         }
     }
 
-    /// Mirrors [`add_conductance`]: when `i == j` the four writes hit the
-    /// same slot and net to zero, exactly like the dense stamp.
+    /// When `i == j` the four writes hit the same slot and net to zero.
     #[inline]
-    fn stamp(&self, values: &mut [f64], g: f64) {
-        if self.ii != NO_SLOT {
-            values[self.ii] += g;
-        }
-        if self.jj != NO_SLOT {
-            values[self.jj] += g;
-        }
-        if self.ij != NO_SLOT {
-            values[self.ij] -= g;
-        }
-        if self.ji != NO_SLOT {
-            values[self.ji] -= g;
-        }
+    fn stamp(&self, values: &mut [f64], at: Lane, g: f64) {
+        add(values, at, self.ii, g);
+        add(values, at, self.jj, g);
+        add(values, at, self.ij, -g);
+        add(values, at, self.ji, -g);
     }
-
-    /// [`stamp`](PairSlots::stamp) into lane `lane` of a lane-minor value
-    /// array with `lanes` lanes per slot.
-    #[inline]
-    fn stamp_lane(&self, values: &mut [f64], lanes: usize, lane: usize, g: f64) {
-        if self.ii != NO_SLOT {
-            values[self.ii * lanes + lane] += g;
-        }
-        if self.jj != NO_SLOT {
-            values[self.jj * lanes + lane] += g;
-        }
-        if self.ij != NO_SLOT {
-            values[self.ij * lanes + lane] -= g;
-        }
-        if self.ji != NO_SLOT {
-            values[self.ji * lanes + lane] -= g;
-        }
-    }
-}
-
-fn entry_slot(mat: &SparseMatrix, i: Option<usize>, j: Option<usize>) -> usize {
-    match (i, j) {
-        (Some(i), Some(j)) => mat
-            .slot(i, j)
-            .expect("MNA pattern covers every device stamp"),
-        _ => NO_SLOT,
-    }
-}
-
-fn rhs_row(i: Option<usize>) -> usize {
-    i.unwrap_or(NO_SLOT)
 }
 
 /// Per-device stamping plan: matrix slots and rhs rows resolved once at
@@ -383,104 +273,63 @@ enum DevicePlan {
         pair: PairSlots,
         dg: usize,
         sg: usize,
-        d_row: usize,
-        s_row: usize,
+        /// Unknown indices of the terminals: the voltages the
+        /// linearization reads and the rhs rows of the drain and source.
+        d: usize,
+        g: usize,
+        s: usize,
     },
 }
 
-/// Collects the MNA sparsity pattern of a netlist. Capacitor stamps are
-/// always included so one pattern (and one symbolic analysis) serves both
-/// DC (`CapMode::Open`) and transient companion stamping.
-pub(crate) fn mna_pattern(netlist: &Netlist) -> SparseMatrix {
-    let n = netlist.unknown_count();
-    let nv = netlist.node_count() - 1;
-    let mut entries: Vec<(usize, usize)> = Vec::new();
-    let pair = |entries: &mut Vec<(usize, usize)>, i: Option<usize>, j: Option<usize>| {
-        if let Some(i) = i {
-            entries.push((i, i));
-        }
-        if let Some(j) = j {
-            entries.push((j, j));
-        }
-        if let (Some(i), Some(j)) = (i, j) {
-            entries.push((i, j));
-            entries.push((j, i));
-        }
-    };
-    for dev in &netlist.devices {
-        match &dev.element {
-            Element::Resistor { a, b, .. } | Element::Capacitor { a, b, .. } => {
-                pair(&mut entries, vidx(*a), vidx(*b));
-            }
-            Element::VSource {
-                plus,
-                minus,
-                branch,
-                ..
-            } => {
-                let row = nv + branch;
-                if let Some(p) = vidx(*plus) {
-                    entries.push((p, row));
-                    entries.push((row, p));
-                }
-                if let Some(m) = vidx(*minus) {
-                    entries.push((m, row));
-                    entries.push((row, m));
-                }
-            }
-            Element::ISource { .. } => {}
-            Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => {
-                // Union of both bias orientations: the drain/source pair
-                // quadruple plus gm columns at the gate for both rows.
-                pair(&mut entries, vidx(*d), vidx(*s));
-                if let (Some(di), Some(gi)) = (vidx(*d), vidx(*g)) {
-                    entries.push((di, gi));
-                }
-                if let (Some(si), Some(gi)) = (vidx(*s), vidx(*g)) {
-                    entries.push((si, gi));
-                }
-            }
-        }
-    }
-    // Global gmin diagonal on every node row.
-    for k in 0..nv {
-        entries.push((k, k));
-    }
-    SparseMatrix::from_entries(n, entries)
+/// Which stamps one [`Plan::apply`] writes.
+#[derive(Clone, Copy)]
+enum Pass<'a> {
+    /// The bias-independent stamps under `ctx` — resistors, capacitor
+    /// companions, sources — then the gmin diagonal: the sparse and
+    /// ensemble baseline.
+    Linear(&'a StampContext<'a>),
+    /// Only the MOSFETs, linearized around `x` with channel shunt `gmin`.
+    Mos { x: &'a [f64], gmin: f64 },
+    /// Both, interleaved in device order, then the gmin diagonal: the
+    /// dense restamp. MOSFETs take their shunt from `ctx.gmin`.
+    All {
+        ctx: &'a StampContext<'a>,
+        x: &'a [f64],
+    },
 }
 
-/// The sparse MNA system for one netlist topology: fixed-pattern matrix,
-/// per-device slot plans, and the linear/nonlinear stamping split.
-///
-/// [`begin`](SparseSystem::begin) stamps everything bias-independent (R, C
-/// companion, sources, gmin diagonal) into a baseline once per Newton
-/// solve; [`iterate`](SparseSystem::iterate) copies the baseline and
-/// restamps only the MOSFETs around the new linearization point.
-pub(crate) struct SparseSystem {
-    mat: SparseMatrix,
-    plans: Vec<DevicePlan>,
-    diag_slots: Vec<usize>,
-    lin_values: Vec<f64>,
-    lin_b: Vec<f64>,
+/// Every device's footprint resolved to the slots of one value layout,
+/// plus the global gmin diagonal.
+pub(crate) struct Plan {
+    devices: Vec<DevicePlan>,
+    diag: Vec<usize>,
 }
 
-impl SparseSystem {
-    pub fn new(netlist: &Netlist) -> SparseSystem {
-        let n = netlist.unknown_count();
+impl Plan {
+    /// Lists each device's footprint — the `(row, col)` entries and rhs
+    /// rows its stamps touch — resolving every non-ground entry through
+    /// `slot`. Capacitor entries are always listed so one pattern serves
+    /// both DC and transient companion stamping; MOSFETs list the union
+    /// of both bias orientations.
+    fn new(netlist: &Netlist, mut slot: impl FnMut(usize, usize) -> usize) -> Plan {
         let nv = netlist.node_count() - 1;
-        let mat = mna_pattern(netlist);
-        let mut plans = Vec::with_capacity(netlist.devices.len());
+        let mut entry = |i: Option<usize>, j: Option<usize>| match (i, j) {
+            (Some(i), Some(j)) => slot(i, j),
+            _ => NO_SLOT,
+        };
+        let row = |i: Option<usize>| i.unwrap_or(NO_SLOT);
         let mut cap_index = 0usize;
+        let mut devices = Vec::with_capacity(netlist.devices.len());
         for dev in &netlist.devices {
-            plans.push(match &dev.element {
+            devices.push(match &dev.element {
                 Element::Resistor { a, b, .. } => DevicePlan::Resistor {
-                    pair: PairSlots::resolve(&mat, vidx(*a), vidx(*b)),
+                    pair: PairSlots::resolve(&mut entry, vidx(*a), vidx(*b)),
                 },
                 Element::Capacitor { a, b, .. } => {
                     let plan = DevicePlan::Capacitor {
-                        pair: PairSlots::resolve(&mat, vidx(*a), vidx(*b)),
-                        a_row: rhs_row(vidx(*a)),
-                        b_row: rhs_row(vidx(*b)),
+                        pair: PairSlots::resolve(&mut entry, vidx(*a), vidx(*b)),
+                        a_row: row(vidx(*a)),
+                        b_row: row(vidx(*b)),
                         cap_index,
                     };
                     cap_index += 1;
@@ -492,71 +341,113 @@ impl SparseSystem {
                     branch,
                     ..
                 } => {
-                    let row = nv + branch;
+                    let r = Some(nv + branch);
                     DevicePlan::VSource {
-                        pr: entry_slot(&mat, vidx(*plus), Some(row)),
-                        rp: entry_slot(&mat, Some(row), vidx(*plus)),
-                        mr: entry_slot(&mat, vidx(*minus), Some(row)),
-                        rm: entry_slot(&mat, Some(row), vidx(*minus)),
-                        row,
+                        pr: entry(vidx(*plus), r),
+                        rp: entry(r, vidx(*plus)),
+                        mr: entry(vidx(*minus), r),
+                        rm: entry(r, vidx(*minus)),
+                        row: nv + branch,
                     }
                 }
                 Element::ISource { from, to, .. } => DevicePlan::ISource {
-                    to_row: rhs_row(vidx(*to)),
-                    from_row: rhs_row(vidx(*from)),
+                    to_row: row(vidx(*to)),
+                    from_row: row(vidx(*from)),
                 },
                 Element::Nmos { d, g, s, .. } | Element::Nmos3 { d, g, s, .. } => {
-                    let (di, si, gi) = (vidx(*d), vidx(*s), vidx(*g));
+                    let (d, g, s) = (vidx(*d), vidx(*g), vidx(*s));
                     DevicePlan::Mos {
-                        pair: PairSlots::resolve(&mat, di, si),
-                        dg: entry_slot(&mat, di, gi),
-                        sg: entry_slot(&mat, si, gi),
-                        d_row: rhs_row(di),
-                        s_row: rhs_row(si),
+                        pair: PairSlots::resolve(&mut entry, d, s),
+                        dg: entry(d, g),
+                        sg: entry(s, g),
+                        d: row(d),
+                        g: row(g),
+                        s: row(s),
                     }
                 }
             });
         }
-        let diag_slots = (0..nv)
-            .map(|k| mat.slot(k, k).expect("diagonal in pattern"))
-            .collect();
-        let nnz = mat.nnz();
-        SparseSystem {
-            mat,
-            plans,
-            diag_slots,
-            lin_values: vec![0.0; nnz],
-            lin_b: vec![0.0; n],
-        }
+        let diag = (0..nv).map(|k| entry(Some(k), Some(k))).collect();
+        Plan { devices, diag }
     }
 
-    pub fn matrix(&self) -> &SparseMatrix {
-        &self.mat
+    /// Slots are row-major flat indices into an `n×n` dense [`Matrix`].
+    fn dense(netlist: &Netlist) -> Plan {
+        let n = netlist.unknown_count();
+        Plan::new(netlist, |i, j| i * n + j)
     }
 
-    /// Stamps the bias-independent baseline (linear devices, sources, gmin
-    /// diagonal) for one Newton solve under `ctx`.
-    pub fn begin(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) {
-        debug_assert_eq!(netlist.devices.len(), self.plans.len(), "plan drift");
-        self.lin_values.fill(0.0);
-        self.lin_b.fill(0.0);
-        for (dev, plan) in netlist.devices.iter().zip(&self.plans) {
-            match (&dev.element, plan) {
-                (Element::Resistor { ohms, .. }, DevicePlan::Resistor { pair }) => {
-                    pair.stamp(&mut self.lin_values, 1.0 / ohms);
+    /// Slots are value indices of `mat`, the netlist's [`mna_pattern`].
+    fn sparse(netlist: &Netlist, mat: &SparseMatrix) -> Plan {
+        Plan::new(netlist, |i, j| {
+            mat.slot(i, j)
+                .expect("MNA pattern covers every device stamp")
+        })
+    }
+
+    /// The one plan applier: writes the stamps `pass` selects for
+    /// `devices` — the netlist this plan was built from, or a
+    /// same-topology lane of it — into lane `at` of `values` / `rhs`, in
+    /// device order.
+    fn apply(
+        &self,
+        devices: &[Device],
+        pass: Pass<'_>,
+        at: Lane,
+        values: &mut [f64],
+        rhs: &mut [f64],
+    ) {
+        debug_assert_eq!(devices.len(), self.devices.len(), "plan drift");
+        let (linear, mos) = match pass {
+            Pass::Linear(ctx) => (Some(ctx), None),
+            Pass::Mos { x, gmin } => (None, Some((x, gmin))),
+            Pass::All { ctx, x } => (Some(ctx), Some((x, ctx.gmin))),
+        };
+        for (dev, plan) in devices.iter().zip(&self.devices) {
+            if let DevicePlan::Mos {
+                pair,
+                dg,
+                sg,
+                d,
+                g,
+                s,
+            } = *plan
+            {
+                let Some((x, gmin)) = mos else { continue };
+                let volt = |i: usize| if i == NO_SLOT { 0.0 } else { x[at.at(i)] };
+                let m = linearize_mos(&dev.element, volt(d), volt(g), volt(s));
+                pair.stamp(values, at, m.gds + gmin);
+                // gm: current into the oriented drain proportional to
+                // (vg − v_source); the constant part flows drain → source.
+                let (ndg, nds, nsg, nss, nd, ns) = if m.forward {
+                    (dg, pair.ij, sg, pair.jj, d, s)
+                } else {
+                    (sg, pair.ji, dg, pair.ii, s, d)
+                };
+                add(values, at, ndg, m.gm);
+                add(values, at, nds, -m.gm);
+                add(values, at, nsg, -m.gm);
+                add(values, at, nss, m.gm);
+                add(rhs, at, ns, m.ieq);
+                add(rhs, at, nd, -m.ieq);
+                continue;
+            }
+            let Some(ctx) = linear else { continue };
+            match (*plan, &dev.element) {
+                (DevicePlan::Resistor { pair }, Element::Resistor { ohms, .. }) => {
+                    pair.stamp(values, at, 1.0 / ohms);
                 }
                 (
-                    Element::Capacitor { farads, .. },
                     DevicePlan::Capacitor {
                         pair,
                         a_row,
                         b_row,
                         cap_index,
                     },
-                ) => match ctx.cap_mode {
-                    CapMode::Open => {}
-                    CapMode::Step { dt, trapezoidal } => {
-                        let st = ctx.cap_states[*cap_index];
+                    Element::Capacitor { farads, .. },
+                ) => {
+                    if let CapMode::Step { dt, trapezoidal } = ctx.cap_mode {
+                        let st = ctx.cap_states[cap_index];
                         let (g, ieq) = if trapezoidal {
                             let g = 2.0 * farads / dt;
                             (g, -(g * st.v + st.i))
@@ -564,17 +455,13 @@ impl SparseSystem {
                             let g = farads / dt;
                             (g, -g * st.v)
                         };
-                        pair.stamp(&mut self.lin_values, g);
-                        if *b_row != NO_SLOT {
-                            self.lin_b[*b_row] += ieq;
-                        }
-                        if *a_row != NO_SLOT {
-                            self.lin_b[*a_row] -= ieq;
-                        }
+                        // Companion: i = g·v + ieq flowing a → b.
+                        pair.stamp(values, at, g);
+                        add(rhs, at, b_row, ieq);
+                        add(rhs, at, a_row, -ieq);
                     }
-                },
+                }
                 (
-                    Element::VSource { wave, .. },
                     DevicePlan::VSource {
                         pr,
                         rp,
@@ -582,138 +469,130 @@ impl SparseSystem {
                         rm,
                         row,
                     },
+                    Element::VSource { wave, .. },
                 ) => {
-                    if *pr != NO_SLOT {
-                        self.lin_values[*pr] += 1.0;
-                        self.lin_values[*rp] += 1.0;
-                    }
-                    if *mr != NO_SLOT {
-                        self.lin_values[*mr] -= 1.0;
-                        self.lin_values[*rm] -= 1.0;
-                    }
-                    self.lin_b[*row] += wave.at(ctx.t) * ctx.source_scale;
+                    add(values, at, pr, 1.0);
+                    add(values, at, rp, 1.0);
+                    add(values, at, mr, -1.0);
+                    add(values, at, rm, -1.0);
+                    add(rhs, at, row, wave.at(ctx.t) * ctx.source_scale);
                 }
-                (Element::ISource { wave, .. }, DevicePlan::ISource { to_row, from_row }) => {
+                (DevicePlan::ISource { to_row, from_row }, Element::ISource { wave, .. }) => {
                     let i = wave.at(ctx.t) * ctx.source_scale;
-                    if *to_row != NO_SLOT {
-                        self.lin_b[*to_row] += i;
-                    }
-                    if *from_row != NO_SLOT {
-                        self.lin_b[*from_row] -= i;
-                    }
+                    add(rhs, at, to_row, i);
+                    add(rhs, at, from_row, -i);
                 }
-                (Element::Nmos { .. } | Element::Nmos3 { .. }, DevicePlan::Mos { .. }) => {}
                 _ => unreachable!("device/plan mismatch"),
             }
         }
-        for &s in &self.diag_slots {
-            self.lin_values[s] += 1e-12;
-        }
-    }
-
-    /// Restamps the full system around linearization point `x`: copies the
-    /// linear baseline, then applies only the MOSFET stamps. Zero
-    /// allocation; `b` must have length `unknown_count`.
-    pub fn iterate(&mut self, netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>, b: &mut [f64]) {
-        self.mat.values_mut().copy_from_slice(&self.lin_values);
-        b.copy_from_slice(&self.lin_b);
-        let vals = self.mat.values_mut();
-        for (dev, plan) in netlist.devices.iter().zip(&self.plans) {
-            let DevicePlan::Mos {
-                pair,
-                dg,
-                sg,
-                d_row,
-                s_row,
-            } = plan
-            else {
-                continue;
-            };
-            let (ids, gm, gds, forward, vgs, vds) = match &dev.element {
-                Element::Nmos { d, g, s, params } => {
-                    let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                    let forward = vd >= vs;
-                    let (vds, vgs) = if forward {
-                        (vd - vs, vg - vs)
-                    } else {
-                        (vs - vd, vg - vd)
-                    };
-                    let (ids, gm, gds) = level1(params, vgs, vds);
-                    (ids, gm, gds, forward, vgs, vds)
-                }
-                Element::Nmos3 { d, g, s, params } => {
-                    let (vd, vg, vs) = (voltage(x, *d), voltage(x, *g), voltage(x, *s));
-                    let forward = vd >= vs;
-                    let (vds, vgs) = if forward {
-                        (vd - vs, vg - vs)
-                    } else {
-                        (vs - vd, vg - vd)
-                    };
-                    let (ids, gm, gds) = params.linearize(vgs, vds);
-                    (ids, gm, gds, forward, vgs, vds)
-                }
-                _ => unreachable!("Mos plan on non-MOS device"),
-            };
-            let ieq = ids - gm * vgs - gds * vds;
-            pair.stamp(vals, gds + ctx.gmin);
-            if forward {
-                if *dg != NO_SLOT {
-                    vals[*dg] += gm;
-                }
-                if pair.ij != NO_SLOT {
-                    vals[pair.ij] -= gm;
-                }
-                if *sg != NO_SLOT {
-                    vals[*sg] -= gm;
-                }
-                if pair.jj != NO_SLOT {
-                    vals[pair.jj] += gm;
-                }
-                if *s_row != NO_SLOT {
-                    b[*s_row] += ieq;
-                }
-                if *d_row != NO_SLOT {
-                    b[*d_row] -= ieq;
-                }
-            } else {
-                if *sg != NO_SLOT {
-                    vals[*sg] += gm;
-                }
-                if pair.ji != NO_SLOT {
-                    vals[pair.ji] -= gm;
-                }
-                if *dg != NO_SLOT {
-                    vals[*dg] -= gm;
-                }
-                if pair.ii != NO_SLOT {
-                    vals[pair.ii] += gm;
-                }
-                if *d_row != NO_SLOT {
-                    b[*d_row] += ieq;
-                }
-                if *s_row != NO_SLOT {
-                    b[*s_row] -= ieq;
-                }
+        if linear.is_some() {
+            // Global gmin from every node to ground keeps matrices regular
+            // even for floating subcircuits.
+            for &k in &self.diag {
+                add(values, at, k, 1e-12);
             }
         }
     }
 }
 
-/// The lane-batched counterpart of [`SparseSystem`]: one set of device
-/// plans (resolved from a reference netlist) applied to K same-topology
-/// lane netlists stamping into a [`SparseMatrixEnsemble`].
+/// Collects the MNA sparsity pattern of a netlist: every entry its
+/// device footprints list.
+pub(crate) fn mna_pattern(netlist: &Netlist) -> SparseMatrix {
+    let mut entries = Vec::new();
+    // Only the listed entries matter here; the plan's slots are unused.
+    Plan::new(netlist, |i, j| {
+        entries.push((i, j));
+        0
+    });
+    SparseMatrix::from_entries(netlist.unknown_count(), entries)
+}
+
+/// A plan plus the bias-independent baseline it stamps once per Newton
+/// solve, for one or more lanes (lane-minor).
+struct Baseline {
+    plan: Plan,
+    values: Vec<f64>,
+    rhs: Vec<f64>,
+}
+
+impl Baseline {
+    /// Stamps every lane's linear devices, sources and gmin diagonal
+    /// under `ctx`; `lanes[k]` is lane `k`.
+    fn begin(&mut self, lanes: &[Netlist], ctx: &StampContext<'_>) {
+        self.values.fill(0.0);
+        self.rhs.fill(0.0);
+        for (lane, nl) in lanes.iter().enumerate() {
+            let at = Lane {
+                lanes: lanes.len(),
+                lane,
+            };
+            self.plan.apply(
+                &nl.devices,
+                Pass::Linear(ctx),
+                at,
+                &mut self.values,
+                &mut self.rhs,
+            );
+        }
+    }
+}
+
+/// The sparse MNA system for one netlist topology: fixed-pattern matrix
+/// and its slot plan.
+///
+/// [`begin`](SparseSystem::begin) stamps the bias-independent baseline
+/// once per Newton solve; [`iterate`](SparseSystem::iterate) copies it
+/// and restamps only the MOSFETs around the new linearization point.
+pub(crate) struct SparseSystem {
+    mat: SparseMatrix,
+    base: Baseline,
+}
+
+impl SparseSystem {
+    pub fn new(netlist: &Netlist) -> SparseSystem {
+        let mat = mna_pattern(netlist);
+        let base = Baseline {
+            plan: Plan::sparse(netlist, &mat),
+            values: vec![0.0; mat.nnz()],
+            rhs: vec![0.0; mat.n()],
+        };
+        SparseSystem { mat, base }
+    }
+
+    pub fn matrix(&self) -> &SparseMatrix {
+        &self.mat
+    }
+
+    /// Stamps the bias-independent baseline for one Newton solve.
+    pub fn begin(&mut self, netlist: &Netlist, ctx: &StampContext<'_>) {
+        self.base.begin(std::slice::from_ref(netlist), ctx);
+    }
+
+    /// Restamps the full system around linearization point `x`: copies the
+    /// baseline, then applies only the MOSFET stamps. Zero allocation; `b`
+    /// must have length `unknown_count`.
+    pub fn iterate(&mut self, netlist: &Netlist, x: &[f64], ctx: &StampContext<'_>, b: &mut [f64]) {
+        let values = self.mat.values_mut();
+        values.copy_from_slice(&self.base.values);
+        b.copy_from_slice(&self.base.rhs);
+        let pass = Pass::Mos { x, gmin: ctx.gmin };
+        self.base
+            .plan
+            .apply(&netlist.devices, pass, Lane::SCALAR, values, b);
+    }
+}
+
+/// The lane-batched counterpart of [`SparseSystem`]: one plan (resolved
+/// from a reference netlist) applied to K same-topology lane netlists
+/// stamping into a [`SparseMatrixEnsemble`].
 ///
 /// Restricted to DC operating-point stamping (`CapMode::Open`): the
 /// ensemble Monte Carlo path batches DC evaluations only, so capacitors
 /// are open circuits and no per-lane companion state exists.
 pub(crate) struct EnsembleSystem {
-    mat: crate::linalg::SparseMatrixEnsemble,
-    plans: Vec<DevicePlan>,
-    diag_slots: Vec<usize>,
-    /// Lane-minor linear baseline values, `nnz * lanes`.
-    lin_values: Vec<f64>,
-    /// Lane-minor linear baseline rhs, `unknowns * lanes`.
-    lin_b: Vec<f64>,
+    mat: SparseMatrixEnsemble,
+    /// Lane-minor baseline: `nnz * lanes` values, `unknowns * lanes` rhs.
+    base: Baseline,
     /// The *previous* [`begin`](EnsembleSystem::begin)'s rhs — the
     /// source-continuation anchor. Between two solves of an
     /// input-assignment sweep only source values change, and source
@@ -724,24 +603,21 @@ pub(crate) struct EnsembleSystem {
 }
 
 impl EnsembleSystem {
-    /// Builds plans from `reference`'s topology with `lanes` value lanes.
-    /// Every netlist later stamped must satisfy
+    /// Builds the plan from `reference`'s topology with `lanes` value
+    /// lanes. Every netlist later stamped must satisfy
     /// [`Netlist::same_topology`] against the reference.
     pub fn new(reference: &Netlist, lanes: usize) -> EnsembleSystem {
-        let scalar = SparseSystem::new(reference);
-        let n = reference.unknown_count();
-        let nnz = scalar.mat.nnz();
-        EnsembleSystem {
-            mat: crate::linalg::SparseMatrixEnsemble::new(scalar.mat, lanes),
-            plans: scalar.plans,
-            diag_slots: scalar.diag_slots,
-            lin_values: vec![0.0; nnz * lanes],
-            lin_b: vec![0.0; n * lanes],
-            lin_b_prev: vec![0.0; n * lanes],
-        }
+        let SparseSystem { mat, base } = SparseSystem::new(reference);
+        let mut sys = EnsembleSystem {
+            mat: SparseMatrixEnsemble::new(mat, 1),
+            base,
+            lin_b_prev: Vec::new(),
+        };
+        sys.set_lanes(lanes);
+        sys
     }
 
-    pub fn matrix(&self) -> &crate::linalg::SparseMatrixEnsemble {
+    pub fn matrix(&self) -> &SparseMatrixEnsemble {
         &self.mat
     }
 
@@ -750,87 +626,38 @@ impl EnsembleSystem {
     /// for [`begin`](EnsembleSystem::begin) to stash as the
     /// source-continuation anchor.
     pub fn set_lanes(&mut self, lanes: usize) {
-        if lanes == self.mat.lanes()
-            && self.lin_values.len() == self.mat.nnz() * lanes
-            && self.lin_b.len() == self.mat.n() * lanes
-        {
+        let (nnz, n) = (self.mat.nnz(), self.mat.n());
+        if lanes == self.mat.lanes() && self.lin_b_prev.len() == n * lanes {
             return;
         }
         self.mat.set_lanes(lanes);
-        self.lin_values.clear();
-        self.lin_values.resize(self.mat.nnz() * lanes, 0.0);
-        self.lin_b.clear();
-        self.lin_b.resize(self.mat.n() * lanes, 0.0);
-        self.lin_b_prev.clear();
-        self.lin_b_prev.resize(self.mat.n() * lanes, 0.0);
+        for (v, len) in [
+            (&mut self.base.values, nnz * lanes),
+            (&mut self.base.rhs, n * lanes),
+            (&mut self.lin_b_prev, n * lanes),
+        ] {
+            v.clear();
+            v.resize(len, 0.0);
+        }
     }
 
-    /// Stamps every lane's bias-independent baseline (resistors, sources,
-    /// gmin diagonal) under `ctx`. DC only; see the type docs.
+    /// Stamps every lane's baseline under `ctx` (DC only; see the type
+    /// docs), keeping the previous rhs as the continuation anchor.
     pub fn begin(&mut self, lanes: &[Netlist], ctx: &StampContext<'_>) {
-        let l = self.mat.lanes();
-        assert_eq!(lanes.len(), l, "lane netlist count mismatch");
+        assert_eq!(lanes.len(), self.mat.lanes(), "lane netlist count mismatch");
         debug_assert!(
             matches!(ctx.cap_mode, CapMode::Open),
             "ensemble stamping is DC-only"
         );
-        self.lin_b_prev.copy_from_slice(&self.lin_b);
-        self.lin_values.fill(0.0);
-        self.lin_b.fill(0.0);
-        for (lane, nl) in lanes.iter().enumerate() {
-            debug_assert_eq!(nl.devices.len(), self.plans.len(), "plan drift");
-            for (dev, plan) in nl.devices.iter().zip(&self.plans) {
-                match (&dev.element, plan) {
-                    (Element::Resistor { ohms, .. }, DevicePlan::Resistor { pair }) => {
-                        pair.stamp_lane(&mut self.lin_values, l, lane, 1.0 / ohms);
-                    }
-                    (Element::Capacitor { .. }, DevicePlan::Capacitor { .. }) => {}
-                    (
-                        Element::VSource { wave, .. },
-                        DevicePlan::VSource {
-                            pr,
-                            rp,
-                            mr,
-                            rm,
-                            row,
-                        },
-                    ) => {
-                        if *pr != NO_SLOT {
-                            self.lin_values[*pr * l + lane] += 1.0;
-                            self.lin_values[*rp * l + lane] += 1.0;
-                        }
-                        if *mr != NO_SLOT {
-                            self.lin_values[*mr * l + lane] -= 1.0;
-                            self.lin_values[*rm * l + lane] -= 1.0;
-                        }
-                        self.lin_b[*row * l + lane] += wave.at(ctx.t) * ctx.source_scale;
-                    }
-                    (Element::ISource { wave, .. }, DevicePlan::ISource { to_row, from_row }) => {
-                        let i = wave.at(ctx.t) * ctx.source_scale;
-                        if *to_row != NO_SLOT {
-                            self.lin_b[*to_row * l + lane] += i;
-                        }
-                        if *from_row != NO_SLOT {
-                            self.lin_b[*from_row * l + lane] -= i;
-                        }
-                    }
-                    (Element::Nmos { .. } | Element::Nmos3 { .. }, DevicePlan::Mos { .. }) => {}
-                    _ => unreachable!("device/plan mismatch"),
-                }
-            }
-        }
-        for &s in &self.diag_slots {
-            for lane in 0..l {
-                self.lin_values[s * l + lane] += 1e-12;
-            }
-        }
+        self.lin_b_prev.copy_from_slice(&self.base.rhs);
+        self.base.begin(lanes, ctx);
     }
 
     /// Restamps every *active* lane around its lane of the lane-minor
     /// linearization point `x` (`unknowns * lanes` values): copies the
-    /// baselines, then applies only the MOSFET stamps, mirroring
-    /// [`SparseSystem::iterate`] per lane so results stay pinned to the
-    /// scalar path. `gmin` is per lane: the lockstep driver walks each
+    /// baselines, then applies only the MOSFET stamps, exactly as
+    /// [`SparseSystem::iterate`] does per lane so results stay pinned to
+    /// the scalar path. `gmin` is per lane: the lockstep driver walks each
     /// lane down its own adaptive homotopy schedule, exactly as the
     /// scalar ladder would. `lambda` is the per-lane source-continuation
     /// coordinate: `1.0` stamps this solve's sources exactly (a straight
@@ -849,112 +676,33 @@ impl EnsembleSystem {
         b: &mut [f64],
     ) {
         let l = self.mat.lanes();
-        self.mat.values_mut().copy_from_slice(&self.lin_values);
+        let values = self.mat.values_mut();
+        values.copy_from_slice(&self.base.values);
+        let lin_b = &self.base.rhs;
         if lambda.iter().all(|&lam| lam >= 1.0) {
-            b.copy_from_slice(&self.lin_b);
+            b.copy_from_slice(lin_b);
         } else {
-            for i in 0..self.mat.n() {
-                let base = i * l;
-                for lane in 0..l {
-                    let lam = lambda[lane];
-                    // λ = 1 must reproduce lin_b *exactly* (not via a
-                    // round-tripped blend): converged lanes have to sit at
-                    // the same fixed point the scalar path computes.
-                    b[base + lane] = if lam >= 1.0 {
-                        self.lin_b[base + lane]
-                    } else {
-                        let prev = self.lin_b_prev[base + lane];
-                        prev + (self.lin_b[base + lane] - prev) * lam
-                    };
-                }
+            for (i, out) in b.iter_mut().enumerate() {
+                let lam = lambda[i % l];
+                // λ = 1 must reproduce lin_b *exactly* (not via a
+                // round-tripped blend): converged lanes have to sit at
+                // the same fixed point the scalar path computes.
+                *out = if lam >= 1.0 {
+                    lin_b[i]
+                } else {
+                    let prev = self.lin_b_prev[i];
+                    prev + (lin_b[i] - prev) * lam
+                };
             }
         }
-        let vals = self.mat.values_mut();
         for (lane, nl) in lanes.iter().enumerate() {
-            if !active[lane] {
-                continue;
-            }
-            for (dev, plan) in nl.devices.iter().zip(&self.plans) {
-                let DevicePlan::Mos {
-                    pair,
-                    dg,
-                    sg,
-                    d_row,
-                    s_row,
-                } = plan
-                else {
-                    continue;
+            if active[lane] {
+                let pass = Pass::Mos {
+                    x,
+                    gmin: gmin[lane],
                 };
-                let volt = |node: crate::netlist::NodeId| match vidx(node) {
-                    None => 0.0,
-                    Some(i) => x[i * l + lane],
-                };
-                let (ids, gm, gds, forward, vgs, vds) = match &dev.element {
-                    Element::Nmos { d, g, s, params } => {
-                        let (vd, vg, vs) = (volt(*d), volt(*g), volt(*s));
-                        let forward = vd >= vs;
-                        let (vds, vgs) = if forward {
-                            (vd - vs, vg - vs)
-                        } else {
-                            (vs - vd, vg - vd)
-                        };
-                        let (ids, gm, gds) = level1(params, vgs, vds);
-                        (ids, gm, gds, forward, vgs, vds)
-                    }
-                    Element::Nmos3 { d, g, s, params } => {
-                        let (vd, vg, vs) = (volt(*d), volt(*g), volt(*s));
-                        let forward = vd >= vs;
-                        let (vds, vgs) = if forward {
-                            (vd - vs, vg - vs)
-                        } else {
-                            (vs - vd, vg - vd)
-                        };
-                        let (ids, gm, gds) = params.linearize(vgs, vds);
-                        (ids, gm, gds, forward, vgs, vds)
-                    }
-                    _ => unreachable!("Mos plan on non-MOS device"),
-                };
-                let ieq = ids - gm * vgs - gds * vds;
-                pair.stamp_lane(vals, l, lane, gds + gmin[lane]);
-                if forward {
-                    if *dg != NO_SLOT {
-                        vals[*dg * l + lane] += gm;
-                    }
-                    if pair.ij != NO_SLOT {
-                        vals[pair.ij * l + lane] -= gm;
-                    }
-                    if *sg != NO_SLOT {
-                        vals[*sg * l + lane] -= gm;
-                    }
-                    if pair.jj != NO_SLOT {
-                        vals[pair.jj * l + lane] += gm;
-                    }
-                    if *s_row != NO_SLOT {
-                        b[*s_row * l + lane] += ieq;
-                    }
-                    if *d_row != NO_SLOT {
-                        b[*d_row * l + lane] -= ieq;
-                    }
-                } else {
-                    if *sg != NO_SLOT {
-                        vals[*sg * l + lane] += gm;
-                    }
-                    if pair.ji != NO_SLOT {
-                        vals[pair.ji * l + lane] -= gm;
-                    }
-                    if *dg != NO_SLOT {
-                        vals[*dg * l + lane] -= gm;
-                    }
-                    if pair.ii != NO_SLOT {
-                        vals[pair.ii * l + lane] += gm;
-                    }
-                    if *d_row != NO_SLOT {
-                        b[*d_row * l + lane] += ieq;
-                    }
-                    if *s_row != NO_SLOT {
-                        b[*s_row * l + lane] -= ieq;
-                    }
-                }
+                let at = Lane { lanes: l, lane };
+                self.base.plan.apply(&nl.devices, pass, at, values, b);
             }
         }
     }
@@ -969,6 +717,7 @@ pub(crate) const SPARSE_THRESHOLD: usize = 24;
 /// rungs, and transient timesteps.
 pub(crate) enum SolverWorkspace {
     Dense {
+        plan: Plan,
         a: Matrix,
         b: Vec<f64>,
     },
@@ -995,6 +744,7 @@ impl SolverWorkspace {
             // a = unknowns.
             fts_telemetry::trace::emit("solver_selected", "dense", n as f64, 0.0);
             return SolverWorkspace::Dense {
+                plan: Plan::dense(netlist),
                 a: Matrix::zeros(n),
                 b: vec![0.0; n],
             };
@@ -1050,12 +800,45 @@ pub(crate) struct NewtonSolve {
     pub max_step: f64,
 }
 
+/// One damped Newton update, shared by the scalar [`newton`] and the
+/// lockstep ensemble loop: moves lane `at` of `x` toward the linear
+/// solve `x_new` (both lane-minor over `unknowns` entries, the first
+/// `nodes` of them node voltages). Returns the update's largest step when
+/// it was undamped and within the step-norm tolerance — converged.
+pub(crate) fn damped_update(
+    x: &mut [f64],
+    x_new: &[f64],
+    unknowns: usize,
+    nodes: usize,
+    at: Lane,
+) -> Option<f64> {
+    // Voltage-step damping stabilizes MOS Newton iterations.
+    let mut max_dv = 0.0f64;
+    for i in 0..nodes {
+        let k = at.at(i);
+        max_dv = max_dv.max((x_new[k] - x[k]).abs());
+    }
+    let damp = if max_dv > 2.0 { 2.0 / max_dv } else { 1.0 };
+    let mut converged = true;
+    let mut max_step = 0.0f64;
+    for i in 0..unknowns {
+        let k = at.at(i);
+        let step = (x_new[k] - x[k]) * damp;
+        if step.abs() > 1e-9 + 1e-6 * x[k].abs() {
+            converged = false;
+        }
+        max_step = max_step.max(step.abs());
+        x[k] += step;
+    }
+    (converged && damp == 1.0).then_some(max_step)
+}
+
 /// Newton–Raphson over a reusable [`SolverWorkspace`]; returns the
 /// converged unknown vector together with iteration diagnostics.
 ///
-/// The dense path restamps everything through [`stamp_all`]; the sparse
-/// path computes the linear baseline once, then each iteration restamps
-/// only the MOSFETs and refactors numerically against the shared symbolic.
+/// The dense path restamps everything each iteration; the sparse path
+/// stamps the linear baseline once, then each iteration restamps only the
+/// MOSFETs and refactors numerically against the shared symbolic.
 pub(crate) fn newton(
     netlist: &Netlist,
     ctx: &StampContext<'_>,
@@ -1075,10 +858,11 @@ pub(crate) fn newton(
         }
         let dense_x;
         let x_new: &[f64] = match ws {
-            SolverWorkspace::Dense { a, b } => {
+            SolverWorkspace::Dense { plan, a, b } => {
                 a.clear();
                 b.fill(0.0);
-                stamp_all(netlist, &x, a, b, ctx);
+                let pass = Pass::All { ctx, x: &x };
+                plan.apply(&netlist.devices, pass, Lane::SCALAR, a.values_mut(), b);
                 dense_x = a.solve(b)?;
                 &dense_x
             }
@@ -1092,23 +876,7 @@ pub(crate) fn newton(
                 b
             }
         };
-        // Voltage-step damping stabilizes MOS Newton iterations.
-        let mut max_dv = 0.0f64;
-        for i in 0..nv {
-            max_dv = max_dv.max((x_new[i] - x[i]).abs());
-        }
-        let damp = if max_dv > 2.0 { 2.0 / max_dv } else { 1.0 };
-        let mut converged = true;
-        let mut max_step = 0.0f64;
-        for i in 0..n {
-            let step = (x_new[i] - x[i]) * damp;
-            if step.abs() > 1e-9 + 1e-6 * x[i].abs() {
-                converged = false;
-            }
-            max_step = max_step.max(step.abs());
-            x[i] += step;
-        }
-        if converged && damp == 1.0 {
+        if let Some(max_step) = damped_update(&mut x, x_new, n, nv, Lane::SCALAR) {
             return Ok(NewtonSolve {
                 x,
                 iterations: iteration,
@@ -1126,120 +894,60 @@ pub(crate) fn newton(
 /// linearized around the operating point `x_op`. The voltage source named
 /// `ac_source` receives a unit AC stimulus; all other independent sources
 /// are zeroed.
+///
+/// The real part is the dense Newton restamp at `x_op` with capacitors
+/// open and the floor gmin; the imaginary part is the capacitors'
+/// susceptance `ωC`. Every other device adds an exact zero to the
+/// imaginary part (and capacitors to the real part), so splitting the two
+/// leaves each entry's sums unchanged.
 pub(crate) fn stamp_ac(
     netlist: &Netlist,
     x_op: &[f64],
     omega: f64,
     ac_source: &str,
-    a: &mut crate::complex::CMatrix,
-    b: &mut [crate::complex::Complex],
+    a: &mut CMatrix,
+    b: &mut [Complex],
 ) {
-    use crate::complex::Complex;
+    let n = netlist.unknown_count();
     let nv = netlist.node_count() - 1;
-    let mut addc =
-        |a: &mut crate::complex::CMatrix, i: Option<usize>, j: Option<usize>, y: Complex| {
-            if let Some(i) = i {
-                a.add(i, i, y);
-            }
-            if let Some(j) = j {
-                a.add(j, j, y);
-            }
-            if let (Some(i), Some(j)) = (i, j) {
-                a.add(i, j, -y);
-                a.add(j, i, -y);
-            }
-        };
+    let ctx = StampContext {
+        t: 0.0,
+        cap_mode: CapMode::Open,
+        cap_states: &[],
+        gmin: 1e-12,
+        source_scale: 0.0,
+        cancel: None,
+    };
+    let mut g = vec![0.0; n * n];
+    let pass = Pass::All { ctx: &ctx, x: x_op };
+    Plan::dense(netlist).apply(
+        &netlist.devices,
+        pass,
+        Lane::SCALAR,
+        &mut g,
+        &mut vec![0.0; n],
+    );
+    for (k, &v) in g.iter().enumerate() {
+        a.add(k / n, k % n, Complex::real(v));
+    }
     for dev in &netlist.devices {
         match &dev.element {
-            Element::Resistor { a: na, b: nb, ohms } => {
-                addc(a, vidx(*na), vidx(*nb), Complex::real(1.0 / ohms));
-            }
             Element::Capacitor {
                 a: na,
                 b: nb,
                 farads,
             } => {
-                addc(a, vidx(*na), vidx(*nb), Complex::imag(omega * farads));
-            }
-            Element::VSource {
-                plus,
-                minus,
-                branch,
-                ..
-            } => {
-                let row = nv + branch;
-                if let Some(p) = vidx(*plus) {
-                    a.add(p, row, Complex::ONE);
-                    a.add(row, p, Complex::ONE);
-                }
-                if let Some(m) = vidx(*minus) {
-                    a.add(m, row, -Complex::ONE);
-                    a.add(row, m, -Complex::ONE);
-                }
-                if dev.name == ac_source {
-                    b[row] += Complex::ONE;
+                let y = Complex::imag(omega * farads);
+                for (r, c, y) in [(na, na, y), (nb, nb, y), (na, nb, -y), (nb, na, -y)] {
+                    if let (Some(r), Some(c)) = (vidx(*r), vidx(*c)) {
+                        a.add(r, c, y);
+                    }
                 }
             }
-            Element::ISource { .. } => {}
-            Element::Nmos { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x_op, *d), voltage(x_op, *g), voltage(x_op, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x_op, ns);
-                let (_, gm, gds) = level1(params, vgs, vds_raw);
-                stamp_ac_mos(a, vidx(nd), vidx(ns), vidx(*g), gm, gds, &mut addc);
+            Element::VSource { branch, .. } if dev.name == ac_source => {
+                b[nv + branch] += Complex::ONE;
             }
-            Element::Nmos3 { d, g, s, params } => {
-                let (vd, vg, vs) = (voltage(x_op, *d), voltage(x_op, *g), voltage(x_op, *s));
-                let (nd, ns, vds_raw) = if vd >= vs {
-                    (*d, *s, vd - vs)
-                } else {
-                    (*s, *d, vs - vd)
-                };
-                let vgs = vg - voltage(x_op, ns);
-                let (_, gm, gds) = params.linearize(vgs, vds_raw);
-                stamp_ac_mos(a, vidx(nd), vidx(ns), vidx(*g), gm, gds, &mut addc);
-            }
-        }
-    }
-    for n in 0..nv {
-        a.add(n, n, crate::complex::Complex::real(1e-12));
-    }
-}
-
-fn stamp_ac_mos(
-    a: &mut crate::complex::CMatrix,
-    id_: Option<usize>,
-    is_: Option<usize>,
-    ig_: Option<usize>,
-    gm: f64,
-    gds: f64,
-    addc: &mut impl FnMut(
-        &mut crate::complex::CMatrix,
-        Option<usize>,
-        Option<usize>,
-        crate::complex::Complex,
-    ),
-) {
-    use crate::complex::Complex;
-    addc(a, id_, is_, Complex::real(gds + 1e-12));
-    if let Some(r) = id_ {
-        if let Some(c) = ig_ {
-            a.add(r, c, Complex::real(gm));
-        }
-        if let Some(c) = is_ {
-            a.add(r, c, Complex::real(-gm));
-        }
-    }
-    if let Some(r) = is_ {
-        if let Some(c) = ig_ {
-            a.add(r, c, Complex::real(-gm));
-        }
-        if let Some(c) = is_ {
-            a.add(r, c, Complex::real(gm));
+            _ => {}
         }
     }
 }

@@ -90,7 +90,6 @@ fn help_lists_every_flag_each_subcommand_parses() {
                 "--queue-depth",
                 "--cache-entries",
                 "--cache-bytes",
-                "--retain-done",
                 "--trace-events",
                 "--worker",
                 "--coordinator",
@@ -123,6 +122,19 @@ fn help_lists_every_flag_each_subcommand_parses() {
             format!("{}\n", text.trim_end())
         );
     }
+}
+
+/// `--retain-done`, the old alias of `--cache-entries`, is gone: `fts
+/// serve` rejects it like any other unknown flag, before binding.
+#[test]
+fn serve_rejects_the_removed_retain_done_flag() {
+    let out = fts()
+        .args(["serve", "--retain-done", "5"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag \"--retain-done\""), "{err}");
 }
 
 #[test]
