@@ -54,7 +54,7 @@ pub struct ConvergenceReport {
     /// Number of Newton solves attempted (homotopy continuation points).
     pub solves: u64,
     /// Step-norm residual of the final converged solve: the largest
-    /// absolute damped update of its last iteration.
+    /// absolute update of its last iteration.
     pub final_residual: f64,
 }
 

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use crate::analysis::{ConvergenceReport, OpOptions, OpResult, OpStrategy};
 use crate::linalg::{EnsembleLu, Symbolic};
 use crate::netlist::Netlist;
-use crate::stamp::{damped_update, CapMode, EnsembleSystem, Lane, StampContext};
+use crate::stamp::{limited_update, CapMode, EnsembleSystem, Lane, StampContext, Update};
 use crate::{Simulator, SpiceError};
 
 /// Homotopy gmin floor — identical to the scalar ladder's.
@@ -279,8 +279,8 @@ impl OpEnsemble {
     /// outcome per lane in lane order.
     ///
     /// Each lane walks the scalar ladder's first two strategies with the
-    /// scalar Newton kernel's exact arithmetic — same stamps, same
-    /// damping, same convergence test: plain Newton at the floor gmin
+    /// scalar Newton kernel's exact arithmetic — same stamps, same step
+    /// limit, same convergence test: plain Newton at the floor gmin
     /// (warm-started from the previous solve when the lanes are re-solved
     /// in an assignment sweep, else from `x0 = 0`), then (when
     /// `opts.gmin_stepping` allows) a gmin ladder restarted from zero and
@@ -506,8 +506,10 @@ impl OpEnsemble {
                     continue;
                 }
                 iters_in_solve[lane] += 1;
-                let finite = (0..n).all(|i| b[i * k + lane].is_finite());
-                if !finite {
+                // The scalar Newton kernel's step limit and convergence test.
+                let at = Lane { lanes: k, lane };
+                let update = limited_update(&mut x, &b, n, nv, at);
+                if update == Update::NonFinite {
                     solve_failed(
                         lane,
                         &mut mode,
@@ -519,9 +521,7 @@ impl OpEnsemble {
                     );
                     continue;
                 }
-                // The scalar Newton kernel's damping and convergence test.
-                let at = Lane { lanes: k, lane };
-                if let Some(max_step) = damped_update(&mut x, &b, n, nv, at) {
+                if let Update::Converged(max_step) = update {
                     // This solve succeeded; advance the lane's ladder.
                     lane_solves[lane] += 1;
                     lane_iters[lane] += iters_in_solve[lane] as u64;

@@ -244,12 +244,12 @@ const GOLDEN_AC: [f64; 3] = [
 const GOLDEN_MOS_PASS: [MosRow; 2] = [
     (
         [8.805687670509297e-1, 9.141515422055912e-1],
-        7,
+        6,
         5.732135932322511e-1,
     ),
     (
         [8.805687670509297e-1, 9.141515422055912e-1],
-        7,
+        6,
         5.732135932322519e-1,
     ),
 ];
@@ -258,12 +258,12 @@ const GOLDEN_MOS_PASS: [MosRow; 2] = [
 const GOLDEN_MOS_CS: [MosRow; 2] = [
     (
         [1.358565796867549e0, 4.414341891053588e-2],
-        5,
+        4,
         1.039581165414985e-1,
     ),
     (
         [1.358565796867549e0, 4.414341891053588e-2],
-        5,
+        4,
         1.039581165414985e-1,
     ),
 ];
